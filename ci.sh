@@ -268,7 +268,8 @@ gate_fleet_smoke() {
 # Kernel-equivalence gate: Scalar vs Lanes vs Lanes-Q14 across every ISP
 # configuration, perception ROI, and a fixed-seed classifier window set
 # (bit-identity for the exact backends, the declared tolerance band for
-# fixed-point, batched ≡ sequential inference). See DESIGN.md §17.
+# fixed-point, batched ≡ sequential inference), plus the banded frame
+# path against the full frame on both cameras. See DESIGN.md §17–§18.
 gate_kernel_equivalence() {
   ./target/release/kernel_equivalence
 }
@@ -283,8 +284,9 @@ gate_isp_throughput() {
 }
 
 # Zero-allocation gate: the steady-state frame path (render → capture →
-# ISP → perception into pooled buffers) must not touch the heap after
-# warm-up, and the tiled path must stay bit-identical.
+# ISP → perception into pooled buffers, full-frame and banded) must not
+# touch the heap after warm-up, and the tiled path must stay
+# bit-identical.
 gate_zero_alloc() {
   cargo test --release -p lkas-suite --test zero_alloc -q
 }

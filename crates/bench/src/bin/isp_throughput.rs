@@ -9,7 +9,9 @@
 //! README "Steady-state frame path" table and DESIGN.md §10/§17.
 //!
 //! Flags: `--iters N` (timed iterations per cell, default 40),
-//! `--threads N` (tiled-path worker count, default 4).
+//! `--threads N` (tiled-path worker count, default 4), `--help`.
+//! Unknown flags and malformed values exit 2 before anything runs or is
+//! written.
 //!
 //! Subcommand: `isp_throughput check --baseline PATH [--max-rel X]`
 //! re-measures and fails (exit 1) if any pooled-lanes ISP mean or the
@@ -18,7 +20,7 @@
 //! philosophy: the gate exists to catch order-of-magnitude perf
 //! regressions, not scheduler noise on a busy CI box).
 
-use lkas_bench::{arg_value, render_table, write_result};
+use lkas_bench::{render_table, write_result};
 use lkas_imaging::image::RgbImage;
 use lkas_imaging::isp::{IspConfig, IspPipeline};
 use lkas_imaging::sensor::{Sensor, SensorConfig};
@@ -208,17 +210,89 @@ fn check(report: &Report, baseline_path: &str, max_rel: f64) -> i32 {
     }
 }
 
+const USAGE: &str = "\
+Usage: isp_throughput [--iters N] [--threads N]
+       isp_throughput check --baseline PATH [--max-rel X] [--iters N] [--threads N]
+
+Measures the ISP configurations S0-S8 per memory path and kernel backend,
+plus the perception pipeline per backend, and writes
+results/isp_throughput.json. `check` re-measures and exits 1 if a pooled
+lanes mean exceeds X times (default 4) its value in the baseline; it
+writes nothing.
+
+Options:
+  --iters N      timed iterations per cell (default 40)
+  --threads N    tiled-path worker count (default 4)
+  --baseline P   baseline report to check against (check only)
+  --max-rel X    allowed growth factor over the baseline (check only)
+  -h, --help     print this help and exit";
+
+/// The parsed command line.
+struct Args {
+    iters: usize,
+    tile_threads: usize,
+    /// `Some((baseline, max_rel))` in `check` mode.
+    check: Option<(String, f64)>,
+}
+
+/// Parses the command line: `Ok(None)` for `--help`, `Err` for anything
+/// unknown or malformed.
+fn parse_args(args: &[String]) -> Result<Option<Args>, String> {
+    let check_mode = args.first().is_some_and(|a| a == "check");
+    let mut parsed = Args { iters: 40, tile_threads: 4, check: None };
+    let (mut baseline, mut max_rel) = (None, 4.0);
+    let mut rest = args.iter().skip(usize::from(check_mode));
+    while let Some(flag) = rest.next() {
+        if flag == "-h" || flag == "--help" {
+            return Ok(None);
+        }
+        let mut value = || rest.next().ok_or_else(|| format!("{flag} needs a value"));
+        let number = |text: &String| format!("bad {flag} value `{text}`");
+        match flag.as_str() {
+            "--iters" => {
+                let text = value()?;
+                parsed.iters = text.parse().ok().filter(|&n| n > 0).ok_or_else(|| number(text))?;
+            }
+            "--threads" => {
+                let text = value()?;
+                parsed.tile_threads =
+                    text.parse().ok().filter(|&n| n > 0).ok_or_else(|| number(text))?;
+            }
+            "--baseline" if check_mode => baseline = Some(value()?.clone()),
+            "--max-rel" if check_mode => {
+                let text = value()?;
+                max_rel =
+                    text.parse().ok().filter(|x: &f64| *x > 0.0).ok_or_else(|| number(text))?;
+            }
+            _ => return Err(format!("unknown argument `{flag}`")),
+        }
+    }
+    if check_mode {
+        let baseline = baseline.ok_or("check requires --baseline PATH")?;
+        parsed.check = Some((baseline, max_rel));
+    }
+    Ok(Some(parsed))
+}
+
 fn main() {
-    let iters: usize = arg_value("--iters").and_then(|v| v.parse().ok()).unwrap_or(40);
-    let tile_threads: usize = arg_value("--threads").and_then(|v| v.parse().ok()).unwrap_or(4);
-    let check_mode = std::env::args().nth(1).is_some_and(|a| a == "check");
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse_args(&argv) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{USAGE}");
+            return;
+        }
+        Err(e) => {
+            eprintln!("error: {e}\n\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
+    let (iters, tile_threads) = (args.iters, args.tile_threads);
 
     eprintln!("[isp_throughput] {iters} iters/cell, tiled path on {tile_threads} threads");
     let report = measure(iters, tile_threads);
 
-    if check_mode {
-        let baseline = arg_value("--baseline").expect("check requires --baseline PATH");
-        let max_rel: f64 = arg_value("--max-rel").and_then(|v| v.parse().ok()).unwrap_or(4.0);
+    if let Some((baseline, max_rel)) = args.check {
         std::process::exit(check(&report, &baseline, max_rel));
     }
     write_result("isp_throughput", &report);

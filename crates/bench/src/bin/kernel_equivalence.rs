@@ -1,7 +1,7 @@
 //! Kernel-equivalence gate: Scalar vs Lanes vs Lanes-Q14, end to end.
 //!
 //! The CI stage `gate-kernel-equivalence` runs this binary; it exits
-//! non-zero on the first class of mismatch. Four claims are checked
+//! non-zero on the first class of mismatch. Five claims are checked
 //! (DESIGN.md §17):
 //!
 //! 1. **Exact kernels are bit-identical.** For every ISP configuration
@@ -18,11 +18,20 @@
 //!    window set, stacking the three classifiers into one grouped GEMM
 //!    per layer yields the same logits-level decisions as three
 //!    independent forward passes.
+//! 5. **The banded frame path ≡ the full frame.** Rendering, capturing
+//!    and developing only an Oracle HiL run's [`FrameBand`] reproduces
+//!    the full-frame chain on every row perception reads, for every ISP
+//!    configuration and backend at both camera resolutions: identical
+//!    band rows, identical perception outputs for every ROI, and an
+//!    identical next full capture (the sensor's noise state).
 //!
 //! Flags: `--frames N` (frames per cell, default 3).
 
+use lkas::hil::FrameBand;
 use lkas::identify::{BundleBatch, ClassifierBundle, SituationEstimate};
+use lkas::{Case, HilConfig, SituationSource};
 use lkas_bench::{arg_value, load_or_train_bundle};
+use lkas_imaging::image::RawImage;
 use lkas_imaging::image::RgbImage;
 use lkas_imaging::isp::{IspConfig, IspPipeline};
 use lkas_imaging::sensor::{Sensor, SensorConfig};
@@ -49,6 +58,81 @@ const Q14_TOLERANCE: f32 = 8.0 / 255.0;
 
 fn max_abs_diff(a: &RgbImage, b: &RgbImage) -> f32 {
     a.as_slice().iter().zip(b.as_slice()).map(|(x, y)| (x - y).abs()).fold(0.0f32, f32::max)
+}
+
+/// `true` if rows `rows` (of `row_len` values each) carry the same bits.
+fn rows_match(a: &[f32], b: &[f32], row_len: usize, rows: &std::ops::Range<usize>) -> bool {
+    let span = rows.start * row_len..rows.end * row_len;
+    a[span.clone()].iter().zip(&b[span]).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// Claim 5: the banded frame path against the full-frame chain, on
+/// `frames` poses per camera. Returns the number of mismatches.
+fn check_banded(frames: usize) -> usize {
+    let mut failures = 0;
+    let track = Track::fig7_track();
+    let half_res = Camera::new(256, 128, 150.0, 1.3, 6.0_f64.to_radians());
+    for cam in [half_res, Camera::default_automotive()] {
+        let (w, h) = (cam.width(), cam.height());
+        let config = HilConfig::new(Case::Case4, SituationSource::Oracle).with_camera(cam.clone());
+        let band = FrameBand::for_run(&config);
+        let renderer = SceneRenderer::new(cam.clone());
+        for f in 0..frames {
+            let (s, d, psi) = (40.0 + 137.0 * f as f64, 0.1 - 0.07 * f as f64, 0.01);
+            let mut full_scene = RgbImage::new(2, 2);
+            let mut banded_scene = RgbImage::new(2, 2);
+            renderer.render_into(&track, s, d, psi, &mut full_scene).expect("valid camera");
+            renderer
+                .render_rows_into(&track, s, d, psi, band.capture.clone(), &mut banded_scene)
+                .expect("valid camera");
+            let mut full_sensor = Sensor::new(SensorConfig::default(), 500 + f as u64);
+            let mut banded_sensor = full_sensor.clone();
+            let mut full_raw = RawImage::new(2, 2);
+            let mut banded_raw = RawImage::new(2, 2);
+            full_sensor.capture_into(&full_scene, 1.0, &mut full_raw);
+            banded_sensor.capture_rows_into(
+                &banded_scene,
+                1.0,
+                band.capture.clone(),
+                &mut banded_raw,
+            );
+            let what = format!("{w}x{h} frame {f}");
+            if !rows_match(full_raw.as_slice(), banded_raw.as_slice(), w, &band.capture) {
+                eprintln!("FAIL: {what}: banded render/capture differs inside the band");
+                failures += 1;
+            }
+            if full_sensor.capture(&full_scene, 1.0) != banded_sensor.capture(&full_scene, 1.0) {
+                eprintln!("FAIL: {what}: banded capture left a different sensor state");
+                failures += 1;
+            }
+            for backend in KernelBackend::ALL {
+                for cfg in IspConfig::ALL {
+                    let isp = IspPipeline::new(cfg).with_backend(backend);
+                    let mut full = RgbImage::new(2, 2);
+                    let mut banded = RgbImage::new(2, 2);
+                    isp.process_into(&full_raw, &mut Scratch::new(), &mut full);
+                    let rows = band.isp.clone();
+                    isp.process_rows_into(&banded_raw, rows, &mut Scratch::new(), &mut banded);
+                    if !rows_match(full.as_slice(), banded.as_slice(), w * 3, &band.isp) {
+                        eprintln!("FAIL: {what} {cfg} {backend}: banded ISP rows differ");
+                        failures += 1;
+                    }
+                    for roi in Roi::ALL {
+                        let pr = Perception::new(PerceptionConfig::new(roi), cam.clone())
+                            .with_backend(backend);
+                        let mut scratch = PerceptionScratch::new();
+                        if pr.process_into(&full, &mut scratch)
+                            != pr.process_into(&banded, &mut scratch)
+                        {
+                            eprintln!("FAIL: {what} {cfg} {backend} {roi}: perception differs");
+                            failures += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    failures
 }
 
 fn main() {
@@ -95,7 +179,7 @@ fn main() {
         }
     }
     eprintln!(
-        "[1/3] ISP: {} configs × {frames} frames checked (worst q14 |Δ| = {:.1} LSB)",
+        "[1/4] ISP: {} configs × {frames} frames checked (worst q14 |Δ| = {:.1} LSB)",
         IspConfig::ALL.len(),
         worst_q14 * 255.0
     );
@@ -122,7 +206,7 @@ fn main() {
             }
         }
     }
-    eprintln!("[2/3] perception: {} ROIs × 2 passes checked", Roi::ALL.len());
+    eprintln!("[2/4] perception: {} ROIs × 2 passes checked", Roi::ALL.len());
 
     // --- 4: batched vs sequential classifiers --------------------------
     let bundle: &ClassifierBundle = &load_or_train_bundle();
@@ -156,7 +240,14 @@ fn main() {
             windows += 1;
         }
     }
-    eprintln!("[3/3] classifiers: {windows} full windows checked");
+    eprintln!("[3/4] classifiers: {windows} full windows checked");
+
+    failures += check_banded(frames);
+    eprintln!(
+        "[4/4] banded frame path: {} configs × {} backends × 2 cameras × {frames} frames checked",
+        IspConfig::ALL.len(),
+        KernelBackend::ALL.len()
+    );
 
     if failures > 0 {
         eprintln!("kernel_equivalence: {failures} FAILURE(S)");

@@ -23,11 +23,13 @@ use lkas_control::design::{design_controller_cached, ControllerConfig};
 use lkas_control::errprofile::PerceptionErrorProfile;
 use lkas_faults::{apply_bayer_fault, derive_cycle_seed, FaultPlan, Misprediction};
 use lkas_imaging::image::{RawImage, RgbImage};
-use lkas_imaging::isp::{IspConfig, IspPipeline};
+use lkas_imaging::isp::{IspConfig, IspPipeline, ISP_ROW_REACH};
 use lkas_imaging::kernel::KernelBackend;
 use lkas_imaging::sensor::{Sensor, SensorConfig};
 use lkas_imaging::Scratch;
+use lkas_perception::bev::BirdsEye;
 use lkas_perception::pipeline::{Perception, PerceptionConfig, PerceptionScratch};
+use lkas_perception::roi::Roi;
 use lkas_platform::schedule::ClassifierSet;
 use lkas_runtime::{
     Counter, CycleDelta, FlightRecorder, Metrics, Stage, Subscription, TelemetryBus, TraceSink,
@@ -39,6 +41,7 @@ use lkas_scene::track::Track;
 use lkas_vehicle::sim::{VehicleSim, VehicleState};
 use lkas_vehicle::PHYSICS_STEP_S;
 use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Where the situation decisions come from.
@@ -472,7 +475,9 @@ impl HilSimulator {
         let mut controller_cfg = knobs.controller_config(delay_set);
         let mut controller = fetch_controller(&tally, &controller_cfg);
 
-        // Plant, camera stack.
+        // Plant, camera stack — pulled only for the rows this run's
+        // frame consumers can read.
+        let band = FrameBand::for_run(&config);
         let renderer = SceneRenderer::new(config.camera.clone());
         let mut sensor = Sensor::new(config.sensor.clone(), config.seed);
         let mut isp = IspPipeline::new(knobs.isp).with_backend(config.kernel_backend);
@@ -578,18 +583,21 @@ impl HilSimulator {
                 } else {
                     let (s, d, psi) = vehicle.camera_pose();
                     let rendered = clock.timed(Stage::Render, || {
-                        renderer.render_into(vehicle.track(), s, d, psi, &mut scene_rgb)
+                        let rows = band.capture.clone();
+                        renderer.render_rows_into(vehicle.track(), s, d, psi, rows, &mut scene_rgb)
                     });
                     match rendered {
                         Ok(()) => {
                             clock.timed(Stage::Sensor, || {
-                                sensor.capture_into(&scene_rgb, 1.0, &mut raw)
+                                let rows = band.capture.clone();
+                                sensor.capture_rows_into(&scene_rgb, 1.0, rows, &mut raw)
                             });
                             if let Some(kind) = faults.bayer {
                                 apply_bayer_fault(kind, &mut raw, plan_seed, frame_index);
                             }
                             clock.timed(Stage::Isp, || {
-                                isp.process_into(&raw, &mut imaging_scratch, &mut rgb)
+                                let rows = band.isp.clone();
+                                isp.process_rows_into(&raw, rows, &mut imaging_scratch, &mut rgb)
                             });
                             true
                         }
@@ -1029,6 +1037,50 @@ pub fn knobs_for_case(case: Case, estimate: &SituationFeatures, table: &KnobTabl
     }
 }
 
+/// The demand-driven frame path of one run: which rows each camera
+/// layer must compute. Derived once at run start from what the run's
+/// frame consumers can read; rows outside a band are unspecified.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FrameBand {
+    /// ISP output rows the consumers read.
+    pub isp: Range<usize>,
+    /// Scene and RAW rows the renderer and sensor produce: `isp`
+    /// widened by the ISP's stencil reach ([`ISP_ROW_REACH`]).
+    pub capture: Range<usize>,
+}
+
+impl FrameBand {
+    /// The band for a run of `config` on its camera.
+    ///
+    /// With [`SituationSource::Oracle`] perception is the only frame
+    /// consumer, and it reads the union over [`Roi::ALL`] of the rows its
+    /// bird's-eye taps touch: the union, because the ROI knob can change
+    /// between this cycle's render and its perception. The trained
+    /// classifiers read the whole frame, so [`SituationSource::Trained`]
+    /// gets the whole frame; so does a camera that cannot be validated
+    /// or rectified (its renders are rejected anyway).
+    pub fn for_run(config: &HilConfig) -> Self {
+        let camera = &config.camera;
+        let (w, h) = (camera.width(), camera.height());
+        let whole = FrameBand { isp: 0..h, capture: 0..h };
+        if camera.validate().is_err() || !matches!(config.source, SituationSource::Oracle) {
+            return whole;
+        }
+        let mut read: Option<Range<usize>> = None;
+        for roi in Roi::ALL {
+            let Ok(birds_eye) = BirdsEye::new(camera.clone(), roi) else { return whole };
+            let rows = birds_eye.rows_read(w, h);
+            read = Some(match read {
+                None => rows,
+                Some(r) => r.start.min(rows.start)..r.end.max(rows.end),
+            });
+        }
+        let isp = read.unwrap_or(0..h);
+        let capture = isp.start.saturating_sub(ISP_ROW_REACH)..(isp.end + ISP_ROW_REACH).min(h);
+        FrameBand { isp, capture }
+    }
+}
+
 /// Run-local event accounting: the single source of truth for the
 /// counters reported in [`HilResult`], mirrored into the shared
 /// telemetry registry when one is attached. (Previously `run()` kept
@@ -1278,6 +1330,41 @@ mod tests {
         assert_eq!(r.render_errors, r.samples, "every cycle's render must be rejected");
         assert_eq!(r.perception_failures, 0, "perception never ran on a frameless cycle");
         assert_eq!(metrics.snapshot().counter("render_errors"), Some(r.samples));
+    }
+
+    #[test]
+    fn oracle_runs_pull_a_band_trained_and_invalid_camera_runs_the_whole_frame() {
+        let oracle = FrameBand::for_run(&HilConfig::new(Case::Case4, SituationSource::Oracle));
+        assert!(oracle.capture.start > 0 && oracle.capture.end < 256, "{oracle:?}");
+        assert_eq!(oracle.capture.start + ISP_ROW_REACH, oracle.isp.start);
+        assert_eq!(oracle.isp.end + ISP_ROW_REACH, oracle.capture.end);
+
+        use lkas_nn::classifiers::{
+            ClassifierSpec, LaneClassifier, RoadClassifier, SceneClassifier,
+        };
+        let spec = ClassifierSpec {
+            train_per_class: 2,
+            val_per_class: 0,
+            epochs: 1,
+            hidden: 4,
+            camera: test_camera(),
+        };
+        let bundle = ClassifierBundle {
+            road: RoadClassifier::train(&spec, 1).0,
+            lane: LaneClassifier::train(&spec, 2).0,
+            scene: SceneClassifier::train(&spec, 3).0,
+        };
+        let trained = HilConfig::new(Case::Case4, SituationSource::Trained(Arc::new(bundle)))
+            .with_camera(test_camera());
+        assert_eq!(FrameBand::for_run(&trained), FrameBand { isp: 0..128, capture: 0..128 });
+
+        let invalid: Camera = serde_json::from_str(
+            r#"{"width":64,"height":32,"focal":-5.0,"cu":32.0,"cv":16.0,
+                "height_m":1.3,"pitch":0.1}"#,
+        )
+        .unwrap();
+        let config = HilConfig::new(Case::Case1, SituationSource::Oracle).with_camera(invalid);
+        assert_eq!(FrameBand::for_run(&config), FrameBand { isp: 0..32, capture: 0..32 });
     }
 
     #[test]

@@ -60,6 +60,8 @@ impl FleetClient {
     /// Propagates connection failures.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
+        // Requests are small frames; send them without Nagle's wait.
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(FleetClient { writer, reader: BufReader::new(stream) })
     }

@@ -423,6 +423,10 @@ pub fn serve(
             break;
         }
         let Ok(stream) = stream else { continue };
+        // Replies go out as several small writes (`Accepted`, then the
+        // `Result`); without TCP_NODELAY each later write waits for the
+        // peer's delayed ACK. A failure here only costs latency.
+        let _ = stream.set_nodelay(true);
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()
             .name("fleet-conn".to_string())

@@ -228,6 +228,35 @@ fn cache_hit_is_byte_identical_and_config_hash_invalidates() {
 }
 
 #[test]
+fn cache_hit_round_trips_do_not_wait_for_delayed_acks() {
+    // `Accepted` and `Result` leave the daemon as two small writes; with
+    // Nagle's algorithm on, the second waits for the client's delayed
+    // ACK (~40 ms on Linux). Both ends set TCP_NODELAY, so a cache hit
+    // costs loopback round trips only.
+    let daemon = Daemon::start(FleetConfig::default());
+    let mut client = daemon.client();
+    let submit = || Daemon::submit("hot", 0, true);
+    assert!(matches!(client.submit(submit()).unwrap(), Event::Accepted { .. }));
+    let cold = client.wait_terminal(|_| {}).unwrap();
+    assert!(matches!(cold, Event::Result { cached: false, .. }), "got {cold:?}");
+
+    let mut round_trips: Vec<Duration> = (0..10)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            let accepted = client.submit(submit()).unwrap();
+            assert!(matches!(accepted, Event::Accepted { .. }), "got {accepted:?}");
+            let hit = client.wait_terminal(|_| {}).unwrap();
+            assert!(matches!(hit, Event::Result { cached: true, .. }), "got {hit:?}");
+            start.elapsed()
+        })
+        .collect();
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(median < Duration::from_millis(20), "median cache-hit round trip {median:?}");
+    daemon.shutdown();
+}
+
+#[test]
 fn saturated_queue_rejects_with_reason() {
     let config = FleetConfig { workers: 1, queue_capacity: 1, ..FleetConfig::default() };
     let daemon = Daemon::start(config);

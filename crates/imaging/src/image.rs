@@ -103,7 +103,8 @@ impl RawImage {
     /// Resizes the frame in place, keeping the existing allocation when
     /// its capacity suffices (the [`crate::pool::FramePool`] reuse path).
     /// The photosite contents are unspecified afterwards; every `*_into`
-    /// producer overwrites the whole frame.
+    /// producer overwrites the whole frame, a `*_rows_into` producer only
+    /// its rows.
     ///
     /// # Panics
     ///
@@ -193,7 +194,8 @@ impl RgbImage {
     /// Resizes the frame in place, keeping the existing allocation when
     /// its capacity suffices (the [`crate::pool::FramePool`] reuse path).
     /// The pixel contents are unspecified afterwards; every `*_into`
-    /// producer overwrites the whole frame.
+    /// producer overwrites the whole frame, a `*_rows_into` producer only
+    /// its rows.
     ///
     /// # Panics
     ///
@@ -225,11 +227,7 @@ impl RgbImage {
     ///
     /// Panics if `levels < 2`.
     pub fn quantize(&mut self, levels: u32) {
-        assert!(levels >= 2, "need at least two quantization levels");
-        let q = (levels - 1) as f32;
-        for v in &mut self.data {
-            *v = (v.clamp(0.0, 1.0) * q).round() / q;
-        }
+        quantize_values(&mut self.data, levels);
     }
 
     /// Mean value over all channels and pixels.
@@ -238,6 +236,20 @@ impl RgbImage {
             return 0.0;
         }
         self.data.iter().sum::<f32>() / self.data.len() as f32
+    }
+}
+
+/// [`RgbImage::quantize`] over a slice of channel values (the ISP
+/// quantizes only the rows it was asked for).
+///
+/// # Panics
+///
+/// Panics if `levels < 2`.
+pub(crate) fn quantize_values(values: &mut [f32], levels: u32) {
+    assert!(levels >= 2, "need at least two quantization levels");
+    let q = (levels - 1) as f32;
+    for v in values {
+        *v = (v.clamp(0.0, 1.0) * q).round() / q;
     }
 }
 

@@ -47,10 +47,12 @@
 //! tolerance-banded (see [`DM_Q14_EPS`] / [`DN_Q14_EPS`]) rather than
 //! bit-identical, and never run in the default pipeline.
 
-use crate::image::{BayerChannel, RawImage, RgbImage};
+use crate::image::{quantize_values, BayerChannel, RawImage, RgbImage};
 use crate::kernel::KernelBackend;
 use crate::pool::Scratch;
+use lkas_runtime::Executor;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// One ISP stage, in the paper's notation.
@@ -100,27 +102,39 @@ impl IspStage {
     /// backend substitutes the Q2.14 denoise interior (demosaic is not
     /// an RGB-domain stage and dispatches in [`demosaic_into_with`]).
     pub fn apply_with(&self, backend: KernelBackend, scratch: &mut Scratch, img: &mut RgbImage) {
-        match backend {
-            KernelBackend::Scalar => match self {
-                IspStage::Demosaic => {}
-                IspStage::Denoise => denoise_in_place(img, scratch, false),
-                IspStage::ColorMap => color_map_in_place(img),
-                IspStage::GamutMap => gamut_map_in_place(img),
-                IspStage::ToneMap => tone_map_in_place(img),
-            },
-            KernelBackend::Lanes { fixed_point } => match self {
-                IspStage::Demosaic => {}
-                IspStage::Denoise => {
-                    if fixed_point {
-                        denoise_in_place_q14(img, scratch);
-                    } else {
-                        denoise_in_place(img, scratch, true);
-                    }
-                }
-                IspStage::ColorMap => color_map_in_place(img),
-                IspStage::GamutMap => gamut_map_lanes(img),
-                IspStage::ToneMap => tone_map_in_place(img),
-            },
+        let rows = 0..img.height();
+        self.apply_rows(backend, scratch, img, rows);
+    }
+
+    /// Applies this stage to the rows in `rows` only. The elementwise
+    /// stages read and write just those rows; the denoise additionally
+    /// reads one row either side (its vertical tap).
+    fn apply_rows(
+        &self,
+        backend: KernelBackend,
+        scratch: &mut Scratch,
+        img: &mut RgbImage,
+        rows: Range<usize>,
+    ) {
+        match (self, backend) {
+            (IspStage::Demosaic, _) => {}
+            (IspStage::Denoise, KernelBackend::Scalar) => {
+                denoise_in_place(img, scratch, false, rows)
+            }
+            (IspStage::Denoise, KernelBackend::Lanes { fixed_point: false }) => {
+                denoise_in_place(img, scratch, true, rows)
+            }
+            (IspStage::Denoise, KernelBackend::Lanes { fixed_point: true }) => {
+                denoise_in_place_q14(img, scratch, rows)
+            }
+            (IspStage::ColorMap, _) => color_map_in_place(row_values(img, &rows)),
+            (IspStage::GamutMap, KernelBackend::Scalar) => {
+                gamut_map_in_place(row_values(img, &rows))
+            }
+            (IspStage::GamutMap, KernelBackend::Lanes { .. }) => {
+                gamut_map_lanes(row_values(img, &rows))
+            }
+            (IspStage::ToneMap, _) => tone_map_in_place(row_values(img, &rows)),
         }
     }
 }
@@ -211,6 +225,12 @@ impl std::fmt::Display for IspConfig {
     }
 }
 
+/// RAW rows either side of an output row that [`IspPipeline`] reads:
+/// one for the demosaic's 3×3 neighborhood, one for the denoise's
+/// vertical tap. A consumer that reads output rows `a..b` needs the
+/// capture of rows `a − 2..b + 2` (clipped to the frame).
+pub const ISP_ROW_REACH: usize = 2;
+
 /// Number of code levels of the ISP output (8-bit RGB, as produced by the
 /// real pipeline and consumed by TensorRT in the paper's setup).
 pub const OUTPUT_LEVELS: u32 = 256;
@@ -285,19 +305,47 @@ impl IspPipeline {
     /// any scratch thread count. Exact backends (everything but the
     /// fixed-point lanes) are additionally byte-identical to each other.
     pub fn process_into(&self, raw: &RawImage, scratch: &mut Scratch, out: &mut RgbImage) {
-        demosaic_into_with(raw, scratch, out, self.backend);
+        self.process_rows_into(raw, 0..raw.height(), scratch, out);
+    }
+
+    /// Runs the configured stages for the output rows in `rows` only
+    /// (clipped to the frame), writing into `out` resized to the full
+    /// frame. Those rows are bit-identical to
+    /// [`IspPipeline::process_into`]'s provided the RAW rows within
+    /// [`ISP_ROW_REACH`] of them hold the capture; no other RAW row is
+    /// read, and every other output row is unspecified.
+    ///
+    /// Border handling and the Bayer phase stay keyed to the full frame
+    /// (the row kernels take absolute row indices), on every backend
+    /// and on the tiled executor path.
+    pub fn process_rows_into(
+        &self,
+        raw: &RawImage,
+        rows: Range<usize>,
+        scratch: &mut Scratch,
+        out: &mut RgbImage,
+    ) {
+        let h = raw.height();
+        let rows = clip_rows(rows, h);
+        let stages = self.config.stages();
+        // Each stage must produce its successor's rows plus one row
+        // either side for every denoise still to come.
+        let stage_rows = |i: usize| {
+            let reach = stages[i + 1..].iter().filter(|s| **s == IspStage::Denoise).count();
+            widen_rows(&rows, reach, h)
+        };
+        demosaic_rows_into_with(raw, stage_rows(0), scratch, out, self.backend);
         match self.backend {
             KernelBackend::Scalar => {
-                for stage in self.config.stages() {
-                    stage.apply(scratch, out);
+                for (i, stage) in stages.iter().enumerate().skip(1) {
+                    stage.apply_rows(self.backend, scratch, out, stage_rows(i));
                 }
-                out.quantize(OUTPUT_LEVELS);
+                quantize_values(row_values(out, &rows), OUTPUT_LEVELS);
             }
             KernelBackend::Lanes { .. } => {
-                let (last, rest) =
-                    self.config.stages().split_last().expect("every config demosaics");
-                for stage in rest {
-                    stage.apply_with(self.backend, scratch, out);
+                let last = stages.len() - 1;
+                for (i, stage) in stages.iter().enumerate().take(last).skip(1) {
+                    stage.apply_rows(self.backend, scratch, out, stage_rows(i));
                 }
                 // A trailing tone map fuses with the quantizer: one
                 // table walk replaces the per-pixel `powf` plus the
@@ -306,11 +354,13 @@ impl IspPipeline {
                 // unconditional, so the 8-probe table walk is a net
                 // win; a trailing gamut map is a near-free `max` for
                 // below-knee pixels and runs faster un-fused.
-                match last {
-                    IspStage::ToneMap => fused_quantize_in_place(out, tm_quant_thresholds()),
+                match stages[last] {
+                    IspStage::ToneMap => {
+                        fused_quantize_in_place(row_values(out, &rows), tm_quant_thresholds())
+                    }
                     stage => {
-                        stage.apply_with(self.backend, scratch, out);
-                        out.quantize(OUTPUT_LEVELS);
+                        stage.apply_rows(self.backend, scratch, out, rows.clone());
+                        quantize_values(row_values(out, &rows), OUTPUT_LEVELS);
                     }
                 }
             }
@@ -525,29 +575,75 @@ pub fn demosaic_into_with(
     out: &mut RgbImage,
     backend: KernelBackend,
 ) {
-    let (w, h) = (raw.width(), raw.height());
-    out.reshape(w, h);
-    let rows: fn(&RawImage, &mut [f32], usize) = match backend {
+    demosaic_rows_into_with(raw, 0..raw.height(), scratch, out, backend);
+}
+
+/// [`demosaic_into_with`] for the output rows in `rows` only (already
+/// clipped to the frame); reads RAW rows `rows` ± 1.
+fn demosaic_rows_into_with(
+    raw: &RawImage,
+    rows: Range<usize>,
+    scratch: &mut Scratch,
+    out: &mut RgbImage,
+    backend: KernelBackend,
+) {
+    out.reshape(raw.width(), raw.height());
+    let kernel: fn(&RawImage, &mut [f32], usize) = match backend {
         KernelBackend::Scalar => demosaic_rows,
         KernelBackend::Lanes { fixed_point: false } => demosaic_rows_lanes,
         KernelBackend::Lanes { fixed_point: true } => {
-            return demosaic_into_q14(raw, scratch, out);
+            return demosaic_into_q14(raw, rows, scratch, out);
         }
     };
-    let exec = scratch.executor;
-    if exec.threads() == 1 {
+    let row_len = raw.width() * 3;
+    let band = row_values(out, &rows);
+    tile_rows(scratch.executor, band, row_len, rows.start, |band, y| kernel(raw, band, y));
+}
+
+/// Runs a row kernel over `band` (the interleaved rows starting at
+/// absolute row `y0`): in one call on a single-threaded executor, else
+/// split into one row band per worker. The kernels compute each row from
+/// its absolute index alone, so the split never changes a bit.
+fn tile_rows(
+    exec: Executor,
+    band: &mut [f32],
+    row_len: usize,
+    y0: usize,
+    kernel: impl Fn(&mut [f32], usize) + Sync,
+) {
+    let rows = band.len() / row_len;
+    if exec.threads() == 1 || rows == 0 {
         // Sequential fast path: no job vectors, no allocations.
-        rows(raw, out.as_mut_slice(), 0);
+        kernel(band, y0);
         return;
     }
-    let band_rows = (h + exec.threads() - 1) / exec.threads();
-    let jobs: Vec<(usize, &mut [f32])> = out
-        .as_mut_slice()
-        .chunks_mut(band_rows * w * 3)
+    let band_rows = rows.div_ceil(exec.threads());
+    let jobs: Vec<(usize, &mut [f32])> = band
+        .chunks_mut(band_rows * row_len)
         .enumerate()
-        .map(|(i, band)| (i * band_rows, band))
+        .map(|(i, tile)| (y0 + i * band_rows, tile))
         .collect();
-    exec.run(jobs, |(y0, band)| rows(raw, band, y0));
+    exec.run(jobs, |(y, tile)| kernel(tile, y));
+}
+
+/// `rows` clipped to a frame of height `h` (never inverted).
+fn clip_rows(rows: Range<usize>, h: usize) -> Range<usize> {
+    let start = rows.start.min(h);
+    start..rows.end.clamp(start, h)
+}
+
+/// `rows` widened by `reach` rows either side, clipped to height `h`.
+fn widen_rows(rows: &Range<usize>, reach: usize, h: usize) -> Range<usize> {
+    if rows.is_empty() {
+        return rows.clone();
+    }
+    rows.start.saturating_sub(reach)..(rows.end + reach).min(h)
+}
+
+/// The interleaved channel values of `rows` of an RGB frame.
+fn row_values<'a>(img: &'a mut RgbImage, rows: &Range<usize>) -> &'a mut [f32] {
+    let row_len = img.width() * 3;
+    &mut img.as_mut_slice()[rows.start * row_len..rows.end * row_len]
 }
 
 // ---------------------------------------------------------------------
@@ -605,14 +701,22 @@ fn rdiv5(s: i32) -> i32 {
 /// scalar border sampler through Q2.14 so the whole frame shares one
 /// error model. Sequential (the integer interior outruns the tiled f32
 /// path on its own); within [`DM_Q14_EPS`] of [`demosaic_into`].
-fn demosaic_into_q14(raw: &RawImage, scratch: &mut Scratch, out: &mut RgbImage) {
+fn demosaic_into_q14(
+    raw: &RawImage,
+    rows: Range<usize>,
+    scratch: &mut Scratch,
+    out: &mut RgbImage,
+) {
     let (w, h) = (raw.width(), raw.height());
     let mut plane = scratch.pool.take_plane_i16(w * h);
-    for (q, &v) in plane.iter_mut().zip(raw.as_slice()) {
+    // Only the RAW rows the requested rows' neighborhoods reach.
+    let read = widen_rows(&rows, 1, h);
+    let raw_rows = &raw.as_slice()[read.start * w..read.end * w];
+    for (q, &v) in plane[read.start * w..read.end * w].iter_mut().zip(raw_rows) {
         *q = to_q14(v);
     }
     let dst = out.as_mut_slice();
-    for y in 0..h {
+    for y in rows {
         let out_row = &mut dst[y * w * 3..(y + 1) * w * 3];
         if y == 0 || y + 1 >= h {
             for x in 0..w {
@@ -783,34 +887,22 @@ fn denoise_vertical_rows(tmp: &RgbImage, band: &mut [f32], y0: usize) {
 /// cross-band reads see complete data and the result is byte-identical
 /// for any thread count. `lanes` selects the flattened horizontal
 /// interior (bit-identical either way).
-fn denoise_in_place(img: &mut RgbImage, scratch: &mut Scratch, lanes: bool) {
+fn denoise_in_place(img: &mut RgbImage, scratch: &mut Scratch, lanes: bool, rows: Range<usize>) {
     let (w, h) = (img.width(), img.height());
     let horizontal: fn(&RgbImage, &mut [f32], usize) =
         if lanes { denoise_horizontal_rows_lanes } else { denoise_horizontal_rows };
+    // The vertical tap reads the horizontal pass one row either side.
+    let across = widen_rows(&rows, 1, h);
     let mut tmp = scratch.pool.take_rgb(w, h);
     let exec = scratch.executor;
-    if exec.threads() == 1 {
-        horizontal(img, tmp.as_mut_slice(), 0);
-        denoise_vertical_rows(&tmp, img.as_mut_slice(), 0);
-    } else {
-        let band_rows = (h + exec.threads() - 1) / exec.threads();
-        let src: &RgbImage = img;
-        let jobs: Vec<(usize, &mut [f32])> = tmp
-            .as_mut_slice()
-            .chunks_mut(band_rows * w * 3)
-            .enumerate()
-            .map(|(i, band)| (i * band_rows, band))
-            .collect();
-        exec.run(jobs, |(y0, band)| horizontal(src, band, y0));
-        let jobs: Vec<(usize, &mut [f32])> = img
-            .as_mut_slice()
-            .chunks_mut(band_rows * w * 3)
-            .enumerate()
-            .map(|(i, band)| (i * band_rows, band))
-            .collect();
-        let tmp_ref = &tmp;
-        exec.run(jobs, |(y0, band)| denoise_vertical_rows(tmp_ref, band, y0));
-    }
+    let src: &RgbImage = img;
+    let tmp_band = row_values(&mut tmp, &across);
+    tile_rows(exec, tmp_band, w * 3, across.start, |band, y0| horizontal(src, band, y0));
+    let tmp_ref = &tmp;
+    let out_band = row_values(img, &rows);
+    tile_rows(exec, out_band, w * 3, rows.start, |band, y0| {
+        denoise_vertical_rows(tmp_ref, band, y0)
+    });
     scratch.pool.put_rgb(tmp);
 }
 
@@ -819,17 +911,19 @@ fn denoise_in_place(img: &mut RgbImage, scratch: &mut Scratch, lanes: bool) {
 /// the (1, 2, 1)/4 taps are exactly representable, so the only error
 /// sources are the input quantization and the per-pass rounding.
 /// Sequential; within [`DN_Q14_EPS`] of the scalar reference.
-fn denoise_in_place_q14(img: &mut RgbImage, scratch: &mut Scratch) {
+fn denoise_in_place_q14(img: &mut RgbImage, scratch: &mut Scratch, rows: Range<usize>) {
     let (w, h) = (img.width(), img.height());
     let n = w * h * 3;
     let row_n = w * 3;
     let mut a = scratch.pool.take_plane_i16(n);
     let mut b = scratch.pool.take_plane_i16(n);
-    for (q, &v) in a.iter_mut().zip(img.as_slice()) {
+    let across = widen_rows(&rows, 1, h);
+    let span = across.start * row_n..across.end * row_n;
+    for (q, &v) in a[span.clone()].iter_mut().zip(&img.as_slice()[span]) {
         *q = to_q14(v);
     }
     // Horizontal pass (a → b), clamped taps at the row ends.
-    for y in 0..h {
+    for y in across {
         let src = &a[y * row_n..(y + 1) * row_n];
         let dst = &mut b[y * row_n..(y + 1) * row_n];
         for c in 0..3 {
@@ -843,7 +937,7 @@ fn denoise_in_place_q14(img: &mut RgbImage, scratch: &mut Scratch) {
     }
     // Vertical pass (b → img), clamped taps at the first/last row.
     let out = img.as_mut_slice();
-    for y in 0..h {
+    for y in rows {
         let y_up = y.saturating_sub(1);
         let y_dn = (y + 1).min(h - 1);
         let above = &b[y_up * row_n..(y_up + 1) * row_n];
@@ -868,9 +962,9 @@ fn dn_tap3_q14(a: i16, b: i16, c: i16) -> i16 {
 // ---------------------------------------------------------------------
 
 /// Color-correction matrix (inverse sensor crosstalk) applied in place.
-fn color_map_in_place(img: &mut RgbImage) {
+fn color_map_in_place(values: &mut [f32]) {
     let ccm = ccm();
-    for px in img.as_mut_slice().chunks_exact_mut(3) {
+    for px in values.chunks_exact_mut(3) {
         let v = [px[0], px[1], px[2]];
         for (c, row) in ccm.iter().enumerate() {
             px[c] = row[0] * v[0] + row[1] * v[1] + row[2] * v[2];
@@ -894,8 +988,8 @@ fn gamut_map_one(v: f32) -> f32 {
 }
 
 /// Soft-knee gamut compression applied in place (scalar reference).
-fn gamut_map_in_place(img: &mut RgbImage) {
-    for v in img.as_mut_slice() {
+fn gamut_map_in_place(values: &mut [f32]) {
+    for v in values {
         *v = gamut_map_one(*v);
     }
 }
@@ -906,10 +1000,9 @@ fn gamut_map_in_place(img: &mut RgbImage) {
 /// knee-crossing chunks fall back to the scalar expression per lane.
 /// In-gamut values are written as `v.max(0.0)` on both paths, so the
 /// output is bit-identical to [`gamut_map_in_place`].
-fn gamut_map_lanes(img: &mut RgbImage) {
+fn gamut_map_lanes(values: &mut [f32]) {
     const LANE: usize = 16;
-    let data = img.as_mut_slice();
-    let mut chunks = data.chunks_exact_mut(LANE);
+    let mut chunks = values.chunks_exact_mut(LANE);
     for chunk in &mut chunks {
         let mut m = [0.0f32; LANE];
         for (d, &s) in m.iter_mut().zip(chunk.iter()) {
@@ -940,8 +1033,8 @@ fn tone_map_one(v: f32) -> f32 {
 }
 
 /// sRGB-like gamma encoding (γ = 1/2.2) applied in place.
-fn tone_map_in_place(img: &mut RgbImage) {
-    for v in img.as_mut_slice() {
+fn tone_map_in_place(values: &mut [f32]) {
+    for v in values {
         *v = tone_map_one(*v);
     }
 }
@@ -1061,9 +1154,9 @@ fn gm_quant_thresholds() -> &'static QuantTable {
 /// clamp (it also normalizes NaN to 0 exactly like the scalar path);
 /// the sign-bit mask maps −0.0 onto +0.0's bit pattern so the integer
 /// compare stays order-preserving.
-fn fused_quantize_in_place(img: &mut RgbImage, qt: &QuantTable) {
+fn fused_quantize_in_place(values: &mut [f32], qt: &QuantTable) {
     let t = &qt.thresholds;
-    for v in img.as_mut_slice() {
+    for v in values {
         let mb = v.max(0.0).to_bits() & 0x7FFF_FFFF;
         let mut c = qt.prefix_lo[(mb >> QUANT_PREFIX_SHIFT) as usize] as usize;
         c += ((t[c + 7] <= mb) as usize) << 3;
@@ -1166,6 +1259,47 @@ mod tests {
     }
 
     #[test]
+    fn banded_processing_matches_full_frame_rows_and_reads_only_the_reach() {
+        let mut s = Sensor::new(SensorConfig::default(), 29);
+        let mut scene = RgbImage::new(22, 18);
+        for (i, v) in scene.as_mut_slice().iter_mut().enumerate() {
+            *v = (i % 53) as f32 / 40.0;
+        }
+        let raw = s.capture(&scene, 1.0);
+        let (w, h) = (raw.width(), raw.height());
+        for rows in [0..18, 6..11, 0..1, 17..18, 1..3, 9..9] {
+            // RAW rows beyond the reach hold garbage: a read of any of
+            // them would move the banded output.
+            let reach = widen_rows(&rows, ISP_ROW_REACH, h);
+            let mut fenced = raw.clone();
+            for y in (0..h).filter(|y| !reach.contains(y)) {
+                for x in 0..w {
+                    fenced.set(x, y, 37.0);
+                }
+            }
+            for backend in KernelBackend::ALL {
+                for threads in [1, 3] {
+                    for cfg in IspConfig::ALL {
+                        let isp = IspPipeline::new(cfg).with_backend(backend);
+                        let mut full = RgbImage::new(2, 2);
+                        isp.process_into(&raw, &mut Scratch::with_threads(threads), &mut full);
+                        let mut banded = RgbImage::filled(4, 2, [5.0; 3]);
+                        let mut scratch = Scratch::with_threads(threads);
+                        isp.process_rows_into(&fenced, rows.clone(), &mut scratch, &mut banded);
+                        assert_eq!((banded.width(), banded.height()), (w, h));
+                        let span = rows.start * w * 3..rows.end * w * 3;
+                        let same = banded.as_slice()[span.clone()]
+                            .iter()
+                            .zip(&full.as_slice()[span])
+                            .all(|(a, b)| a.to_bits() == b.to_bits());
+                        assert!(same, "{cfg} {backend} at {threads} threads, rows {rows:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn lane_demosaic_is_bit_identical_to_scalar() {
         let mut s = Sensor::new(SensorConfig::default(), 17);
         for (w, h) in [(4, 4), (6, 8), (32, 16), (62, 30)] {
@@ -1242,7 +1376,7 @@ mod tests {
             }
             reference.quantize(OUTPUT_LEVELS);
             let mut fused = img.clone();
-            fused_quantize_in_place(&mut fused, table);
+            fused_quantize_in_place(fused.as_mut_slice(), table);
             assert_eq!(reference, fused);
         }
     }
@@ -1255,8 +1389,8 @@ mod tests {
             *v = (i as f32 * 0.037) % 1.4 - 0.1;
         }
         let mut scalar = img.clone();
-        gamut_map_in_place(&mut scalar);
-        gamut_map_lanes(&mut img);
+        gamut_map_in_place(scalar.as_mut_slice());
+        gamut_map_lanes(img.as_mut_slice());
         assert_eq!(scalar, img);
     }
 

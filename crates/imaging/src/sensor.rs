@@ -12,10 +12,11 @@
 //!    (constant variance),
 //! 4. sample the RGGB mosaic.
 
-use crate::image::{BayerChannel, RawImage, RgbImage};
+use crate::image::{RawImage, RgbImage};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Spectral crosstalk matrix of the modeled sensor (rows: sensor R/G/B
 /// response; columns: scene R/G/B). Deliberately leaky so that the ISP's
@@ -49,6 +50,13 @@ impl Default for SensorConfig {
 
 /// A deterministic (seeded) camera sensor.
 ///
+/// The noise stream is index-addressable: the sensor owns the splitmix64
+/// counter that the workspace's seeded `StdRng` is, so the draws of any
+/// photosite are a pure function of the counter and the photosite's
+/// index, and skipping rows is one counter advance. A banded capture
+/// ([`Sensor::capture_rows_into`]) therefore leaves the sensor in the
+/// same state as a full one.
+///
 /// # Example
 ///
 /// ```
@@ -63,13 +71,20 @@ impl Default for SensorConfig {
 #[derive(Debug, Clone)]
 pub struct Sensor {
     config: SensorConfig,
-    rng: StdRng,
+    /// splitmix64 counter: advanced by [`SPLITMIX_GAMMA`] per draw.
+    state: u64,
 }
+
+/// Increment of the splitmix64 counter per draw.
+const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Uniform draws per photosite (the two Box–Muller inputs).
+const DRAWS_PER_PHOTOSITE: u64 = 2;
 
 impl Sensor {
     /// Creates a sensor with the given configuration and RNG seed.
     pub fn new(config: SensorConfig, seed: u64) -> Self {
-        Sensor { config, rng: StdRng::seed_from_u64(seed) }
+        Sensor { config, state: seed }
     }
 
     /// Borrow the sensor configuration.
@@ -95,42 +110,94 @@ impl Sensor {
 
     /// Captures a scene-referred linear RGB frame into a caller-owned RAW
     /// Bayer frame (resized as needed) — the allocation-free capture
-    /// path. This is the single capture implementation; RNG consumption
-    /// is identical to [`Sensor::capture`].
+    /// path; RNG consumption is identical to [`Sensor::capture`].
     ///
     /// # Panics
     ///
     /// Panics if the scene dimensions are odd (Bayer frames need even
     /// dimensions).
     pub fn capture_into(&mut self, scene: &RgbImage, illumination: f32, raw: &mut RawImage) {
+        self.capture_rows_into(scene, illumination, 0..scene.height(), raw);
+    }
+
+    /// Captures only the rows in `rows` (clipped to the frame) into a
+    /// caller-owned RAW frame resized to the full scene. The captured
+    /// photosites are bit-identical to [`Sensor::capture_into`]'s and
+    /// only the corresponding `scene` rows are read; every other RAW row
+    /// is unspecified. The noise counter advances past the skipped rows,
+    /// so the sensor's state afterwards — and every later capture — is
+    /// exactly as after a full capture.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scene dimensions are odd (Bayer frames need even
+    /// dimensions).
+    pub fn capture_rows_into(
+        &mut self,
+        scene: &RgbImage,
+        illumination: f32,
+        rows: Range<usize>,
+        raw: &mut RawImage,
+    ) {
         let (w, h) = (scene.width(), scene.height());
         raw.reshape(w, h);
+        let first = rows.start.min(h);
+        let draws_per_row = DRAWS_PER_PHOTOSITE * w as u64;
+        let start = self.state;
+        let advance = |n_rows: usize| SPLITMIX_GAMMA.wrapping_mul(draws_per_row * n_rows as u64);
         let g = self.config.gain;
-        for y in 0..h {
-            for x in 0..w {
-                let px = scene.get(x, y);
+        let read_var = self.config.read_noise.powi(2);
+        let shot_var = self.config.shot_noise.powi(2);
+        let src = scene.as_slice();
+        let dst = raw.as_mut_slice();
+        self.state = start.wrapping_add(advance(first));
+        for y in first..rows.end.min(h) {
+            // RGGB: even rows alternate Red/GreenR, odd rows GreenB/Blue.
+            let phase = if y % 2 == 0 {
+                [CROSSTALK[0], CROSSTALK[1]]
+            } else {
+                [CROSSTALK[1], CROSSTALK[2]]
+            };
+            let scene_row = &src[y * w * 3..(y + 1) * w * 3];
+            let raw_row = &mut dst[y * w..(y + 1) * w];
+            for (x, (out, px)) in raw_row.iter_mut().zip(scene_row.chunks_exact(3)).enumerate() {
                 // Illumination scaling happens in the scene-referred
                 // domain (light level), then sensor crosstalk.
                 let lit = [px[0] * illumination, px[1] * illumination, px[2] * illumination];
-                let row = match raw.channel_at(x, y) {
-                    BayerChannel::Red => CROSSTALK[0],
-                    BayerChannel::GreenR | BayerChannel::GreenB => CROSSTALK[1],
-                    BayerChannel::Blue => CROSSTALK[2],
-                };
+                let row = phase[x % 2];
                 let signal = (row[0] * lit[0] + row[1] * lit[1] + row[2] * lit[2]) * g;
-                let var = self.config.read_noise.powi(2)
-                    + self.config.shot_noise.powi(2) * signal.max(0.0);
+                let var = read_var + shot_var * signal.max(0.0);
                 let noise = self.sample_gaussian() * var.sqrt();
-                raw.set(x, y, (signal + noise).clamp(0.0, 1.0));
+                *out = (signal + noise).clamp(0.0, 1.0);
             }
         }
+        self.state = start.wrapping_add(advance(h));
+    }
+
+    /// The next raw 64 bits of the noise stream (splitmix64 — the same
+    /// stream as the workspace's seeded `StdRng`).
+    #[inline(always)]
+    fn next_u64(&mut self) -> u64 {
+        self.state = self.state.wrapping_add(SPLITMIX_GAMMA);
+        let mut z = self.state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A uniform f32 in `[0, 1)` from the top 24 bits of a draw.
+    #[inline(always)]
+    fn next_unit(&mut self) -> f32 {
+        (self.next_u64() >> 40) as f32 * (1.0 / (1u32 << 24) as f32)
     }
 
     /// Standard normal sample via Box–Muller (keeps the crate free of a
-    /// distributions dependency).
+    /// distributions dependency). The two uniforms are drawn exactly as
+    /// `gen_range(f32::EPSILON..1.0)` and `gen_range(0.0..1.0)` draw them.
+    #[inline(always)]
     fn sample_gaussian(&mut self) -> f32 {
-        let u1: f32 = self.rng.gen_range(f32::EPSILON..1.0);
-        let u2: f32 = self.rng.gen_range(0.0..1.0);
+        let u1 = f32::EPSILON + self.next_unit() * (1.0 - f32::EPSILON);
+        let u2 = 0.0 + self.next_unit() * (1.0 - 0.0);
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
     }
 }
@@ -217,6 +284,43 @@ mod tests {
         let mut reused = RawImage::new(8, 8);
         Sensor::new(SensorConfig::default(), 99).capture_into(&scene, 1.0, &mut reused);
         assert_eq!(fresh, reused);
+    }
+
+    #[test]
+    fn noise_stream_is_the_vendored_std_rng() {
+        // The sensor's own counter must replay `StdRng`'s stream draw
+        // for draw: the same Box–Muller inputs, the same bits.
+        let mut sensor = Sensor::new(SensorConfig::default(), 0xDEAD_BEEF);
+        let mut rng = StdRng::seed_from_u64(0xDEAD_BEEF);
+        for i in 0..20_000 {
+            let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
+            let u2: f32 = rng.gen_range(0.0..1.0);
+            let want = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos();
+            assert_eq!(sensor.sample_gaussian().to_bits(), want.to_bits(), "draw pair {i}");
+        }
+    }
+
+    #[test]
+    fn banded_capture_matches_full_rows_and_leaves_the_same_state() {
+        let mut scene = RgbImage::new(24, 16);
+        for (i, v) in scene.as_mut_slice().iter_mut().enumerate() {
+            *v = (i % 97) as f32 / 97.0;
+        }
+        let mut full_sensor = Sensor::new(SensorConfig::default(), 41);
+        let full = full_sensor.capture(&scene, 0.7);
+        let next_full = full_sensor.capture(&scene, 0.7);
+        for rows in [0..16, 5..11, 0..1, 15..16, 8..8, 12..40] {
+            let mut sensor = Sensor::new(SensorConfig::default(), 41);
+            let mut banded = RawImage::new(2, 2);
+            sensor.capture_rows_into(&scene, 0.7, rows.clone(), &mut banded);
+            assert_eq!((banded.width(), banded.height()), (24, 16));
+            for y in rows.start.min(16)..rows.end.min(16) {
+                for x in 0..24 {
+                    assert_eq!(banded.get(x, y).to_bits(), full.get(x, y).to_bits(), "{rows:?}");
+                }
+            }
+            assert_eq!(sensor.capture(&scene, 0.7), next_full, "state after {rows:?}");
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@ use lkas_imaging::image::RgbImage;
 use lkas_imaging::kernel::KernelBackend;
 use lkas_linalg::Homography;
 use lkas_scene::camera::Camera;
+use std::ops::Range;
 
 /// Default bird's-eye grid width (lateral samples).
 pub const BEV_WIDTH: usize = 160;
@@ -184,6 +185,26 @@ impl BirdsEye {
     /// The ROI being rectified.
     pub fn roi(&self) -> Roi {
         self.roi
+    }
+
+    /// The image rows the rectification reads from a `w`×`h` frame: the
+    /// span of every bilinear tap of the default grid, resolved by the
+    /// same [`bilin_tap`] both kernel backends use. Rows outside it never
+    /// influence the bird's-eye view.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either dimension is zero.
+    pub fn rows_read(&self, w: usize, h: usize) -> Range<usize> {
+        assert!(w > 0 && h > 0, "frame dimensions must be nonzero");
+        let row_len = (w * 3) as u32;
+        let (mut lo, mut hi) = (u32::MAX, 0);
+        for &(u, v) in &self.samples {
+            let tap = bilin_tap(w, h, u, v);
+            lo = lo.min(tap.base00 / row_len);
+            hi = hi.max(tap.base01 / row_len);
+        }
+        lo as usize..hi as usize + 1
     }
 
     /// Rectifies a camera frame into the ROI's bird's-eye grid, computing
@@ -543,6 +564,32 @@ mod tests {
         let a = be.rectify(&frame);
         let b = be.rectify_sized(&frame, BEV_WIDTH, BEV_HEIGHT);
         assert_eq!(a.as_slice(), b.as_slice());
+    }
+
+    #[test]
+    fn rows_outside_rows_read_do_not_change_the_view() {
+        let frame = rendered_frame();
+        let (w, h) = (frame.width(), frame.height());
+        for roi in Roi::ALL {
+            let be = BirdsEye::new(Camera::default_automotive(), roi).unwrap();
+            let rows = be.rows_read(w, h);
+            assert!(rows.start < rows.end && rows.end <= h, "{roi}: {rows:?}");
+            let mut fenced = frame.clone();
+            for y in (0..h).filter(|y| !rows.contains(y)) {
+                for x in 0..w {
+                    fenced.set(x, y, [9.0; 3]);
+                }
+            }
+            assert_eq!(be.rectify(&fenced).as_slice(), be.rectify(&frame).as_slice(), "{roi}");
+            // The band is tight: garbage on its first and last row shows.
+            for edge in [rows.start, rows.end - 1] {
+                let mut poked = frame.clone();
+                for x in 0..w {
+                    poked.set(x, edge, [9.0; 3]);
+                }
+                assert_ne!(be.rectify(&poked).as_slice(), be.rectify(&frame).as_slice());
+            }
+        }
     }
 
     #[test]

@@ -136,6 +136,16 @@ impl Perception {
         self.config
     }
 
+    /// The rows of a `w`×`h` ISP frame this pipeline reads (see
+    /// [`BirdsEye::rows_read`]); every other row may hold anything.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either dimension is zero.
+    pub fn rows_read(&self, w: usize, h: usize) -> std::ops::Range<usize> {
+        self.birds_eye.rows_read(w, h)
+    }
+
     /// Processes one ISP output frame.
     ///
     /// Convenience wrapper over [`Perception::process_into`] that

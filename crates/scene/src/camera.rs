@@ -20,6 +20,16 @@ pub const FRAME_WIDTH: usize = 512;
 /// Default frame height used throughout the paper (512×256).
 pub const FRAME_HEIGHT: usize = 256;
 
+/// Row-invariant part of a ground back-projection (see
+/// [`Camera::ground_row`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GroundRow {
+    /// Forward distance (m) of every ground point on the row.
+    pub(crate) x_forward: f64,
+    /// Ray scale from the camera to the ground plane.
+    t: f64,
+}
+
 /// A pinhole camera at a fixed mounting pose.
 ///
 /// # Example
@@ -155,8 +165,19 @@ impl Camera {
     /// Back-projects the pixel `(u, v)` onto the ground plane, returning
     /// the `(x_forward, y_left)` ground point in meters, or `None` if the
     /// pixel is at or above the horizon.
+    #[inline]
     pub fn ground_from_pixel(&self, u: f64, v: f64) -> Option<(f64, f64)> {
-        let un = (u - self.cu) / self.focal; // right
+        let row = self.ground_row(v)?;
+        Some((row.x_forward, self.ground_lateral(&row, u)))
+    }
+
+    /// The part of [`Camera::ground_from_pixel`] that depends only on the
+    /// image row `v`: whether the row sees the ground at all (the horizon
+    /// test does not depend on `u`), the forward distance of its ground
+    /// points and the ray scale. Renderers hoist it out of the column
+    /// loop; [`Camera::ground_lateral`] finishes a pixel bit-identically.
+    #[inline]
+    pub(crate) fn ground_row(&self, v: f64) -> Option<GroundRow> {
         let vn = (v - self.cv) / self.focal; // down
         let (sp, cp) = self.pitch.sin_cos();
         // Ray in vehicle frame: optical axis pitched down by `pitch`.
@@ -164,13 +185,20 @@ impl Camera {
         //   down vector: a = (cp, 0, −sp), down = (−sp, 0, −cp),
         //   right = (0, −1, 0).
         let rx = cp - vn * sp;
-        let ry = -un;
         let rz = -sp - vn * cp;
         if rz >= -1e-9 {
             return None; // at or above the horizon
         }
         let t = self.height_m / -rz;
-        Some((t * rx, t * ry))
+        Some(GroundRow { x_forward: t * rx, t })
+    }
+
+    /// Lateral ground offset (m, left positive) of column `u` on a row
+    /// returned by [`Camera::ground_row`].
+    #[inline]
+    pub(crate) fn ground_lateral(&self, row: &GroundRow, u: f64) -> f64 {
+        let un = (u - self.cu) / self.focal; // right
+        row.t * -un
     }
 
     /// Projects the ground point `(x_forward, y_left)` into the image,

@@ -11,9 +11,10 @@
 //! [`lkas_imaging::Sensor::capture`]: lkas_imaging::sensor::Sensor::capture
 
 use crate::camera::Camera;
-use crate::situation::SceneKind;
-use crate::track::{Track, DOUBLE_GAP, LANE_WIDTH, MARKING_WIDTH};
+use crate::situation::{LaneColor, LaneForm, SceneKind};
+use crate::track::{LaneSpec, Sector, SectorCursor, Track, DOUBLE_GAP, LANE_WIDTH, MARKING_WIDTH};
 use lkas_imaging::image::RgbImage;
+use std::ops::Range;
 
 /// Linear-RGB albedos of the rendered materials.
 pub mod albedo {
@@ -125,75 +126,266 @@ impl SceneRenderer {
         psi: f64,
         img: &mut RgbImage,
     ) -> Result<(), RenderError> {
+        self.render_rows_into(track, s, d, psi, 0..self.camera.height(), img)
+    }
+
+    /// Renders only the image rows in `rows` (clipped to the frame) into
+    /// a caller-owned buffer resized to the full frame. The rendered rows
+    /// are bit-identical to [`SceneRenderer::render_into`]'s; every other
+    /// row is unspecified. This is the demand-driven entry point: a
+    /// consumer that reads only part of the frame pays only for that
+    /// part.
+    ///
+    /// Per-row and per-frame invariants are hoisted out of the pixel
+    /// loop (ray geometry per row, sky rows as one fill, lighting per
+    /// frame, a cached sector lookup); each hoisted value is computed by
+    /// the same expression the per-pixel form used, so the output bits
+    /// do not change.
+    ///
+    /// # Errors
+    ///
+    /// [`RenderError::InvalidCamera`] if the camera is invalid; the
+    /// buffer is left untouched.
+    pub fn render_rows_into(
+        &self,
+        track: &Track,
+        s: f64,
+        d: f64,
+        psi: f64,
+        rows: Range<usize>,
+        img: &mut RgbImage,
+    ) -> Result<(), RenderError> {
         self.camera.validate()?;
         let w = self.camera.width();
         let h = self.camera.height();
         img.reshape(w, h);
         let (sin_psi, cos_psi) = psi.sin_cos();
-        let scene = track.sector_at(s).scene;
+        let light = Lighting::new(track.sector_at(s).scene);
+        let sky = light.sky();
+        let under_bumper = light.lit(albedo::ROAD, 0.0);
+        let mut sectors = SectorCursor::new(track);
 
+        let data = img.as_mut_slice();
+        for v in rows.start.min(h)..rows.end.min(h) {
+            let row = &mut data[v * w * 3..(v + 1) * w * 3];
+            let Some(ground) = self.camera.ground_row(v as f64 + 0.5) else {
+                for px in row.chunks_exact_mut(3) {
+                    px.copy_from_slice(&sky);
+                }
+                continue;
+            };
+            // Rotation of the vehicle-frame ground point into the
+            // lane-aligned frame; the forward terms are row constants.
+            let xf = ground.x_forward;
+            let (xf_cos, xf_sin) = (xf * cos_psi, xf * sin_psi);
+            for (u, px) in row.chunks_exact_mut(3).enumerate() {
+                let yl = self.camera.ground_lateral(&ground, u as f64 + 0.5);
+                let xa = xf_cos - yl * sin_psi;
+                let ya = xf_sin + yl * cos_psi;
+                let color = if xa <= 0.1 {
+                    // Directly under the bumper; treat as road.
+                    under_bumper
+                } else {
+                    let sp = s + xa;
+                    let sector = sectors.sector(sp);
+                    // Offset from the (curving) lane center: the
+                    // centerline bends by ~κ·xa²/2 over the preview
+                    // distance.
+                    let lateral = d + ya - sector.curvature * xa * xa / 2.0;
+                    light.lit(self.surface_albedo(sector, sp, lateral, xa), xa)
+                };
+                px.copy_from_slice(&color);
+            }
+        }
+        Ok(())
+    }
+
+    /// Albedo of the ground of `sector` at arc position `sp`, lateral
+    /// offset `lateral` from the lane center, seen from forward distance
+    /// `xa` (for anti-aliasing footprint).
+    fn surface_albedo(&self, sector: &Sector, sp: f64, lateral: f64, xa: f64) -> [f32; 3] {
+        let footprint = self.camera.ground_meters_per_pixel(xa);
+        let half_marking = MARKING_WIDTH / 2.0;
+
+        // Base surface.
+        let road_half = LANE_WIDTH / 2.0 + SHOULDER;
+        let base = if lateral.abs() <= road_half { albedo::ROAD } else { albedo::GRASS };
+
+        // Blend in the nearest marking line by its pixel coverage. A
+        // line whose coverage numerator is not positive cannot win, so
+        // its dash phase and the division are skipped.
+        let mut best_cover = 0.0f64;
+        let mut best_color = base;
+        for (center, spec) in marking_lines(sector) {
+            if center.is_nan() {
+                continue;
+            }
+            let dist = (lateral - center).abs();
+            let reach = half_marking + footprint / 2.0 - dist;
+            if reach <= 0.0 || !Track::marking_painted_at(spec.form, sp) {
+                continue;
+            }
+            let cover = (reach / footprint).clamp(0.0, 1.0);
+            if cover > best_cover {
+                best_cover = cover;
+                best_color = marking_albedo(spec.color);
+            }
+        }
+        if best_cover <= 0.0 {
+            return base;
+        }
+        let c = best_cover as f32;
+        [
+            base[0] * (1.0 - c) + best_color[0] * c,
+            base[1] * (1.0 - c) + best_color[1] * c,
+            base[2] * (1.0 - c) + best_color[2] * c,
+        ]
+    }
+}
+
+/// Candidate marking line centers (lateral offsets from the lane center)
+/// of a sector and their specs; NaN centers are absent lines.
+fn marking_lines(sector: &Sector) -> [(f64, LaneSpec); 4] {
+    let mut lines = [
+        (LANE_WIDTH / 2.0, sector.left_lane),
+        (f64::NAN, sector.left_lane),
+        (-LANE_WIDTH / 2.0, sector.right_lane),
+        (f64::NAN, sector.right_lane),
+    ];
+    let off = (MARKING_WIDTH + DOUBLE_GAP) / 2.0;
+    if sector.left_lane.form == LaneForm::DoubleContinuous {
+        lines[0].0 = LANE_WIDTH / 2.0 - off;
+        lines[1].0 = LANE_WIDTH / 2.0 + off;
+    }
+    if sector.right_lane.form == LaneForm::DoubleContinuous {
+        lines[2].0 = -LANE_WIDTH / 2.0 + off;
+        lines[3].0 = -LANE_WIDTH / 2.0 - off;
+    }
+    lines
+}
+
+fn marking_albedo(color: LaneColor) -> [f32; 3] {
+    match color {
+        LaneColor::White => albedo::WHITE_MARKING,
+        LaneColor::Yellow => albedo::YELLOW_MARKING,
+    }
+}
+
+/// A frame's illumination: the scene's ambient level, head-light gain
+/// and tint, read once per frame.
+#[derive(Debug, Clone, Copy)]
+struct Lighting {
+    ambient: f32,
+    headlight: f32,
+    tint: [f32; 3],
+}
+
+impl Lighting {
+    fn new(scene: SceneKind) -> Self {
+        Lighting {
+            ambient: scene.ambient_illumination(),
+            headlight: scene.headlight_gain(),
+            tint: scene.tint(),
+        }
+    }
+
+    /// Applies the illumination (ambient + head-lights) and tint to an
+    /// albedo at forward distance `xf`. Without head-lights the head
+    /// term is exactly +0.0, so its `exp` is skipped.
+    fn lit(&self, albedo: [f32; 3], xf: f64) -> [f32; 3] {
+        let head = if self.headlight == 0.0 {
+            0.0
+        } else {
+            self.headlight * (-xf / HEADLIGHT_FALLOFF).exp() as f32
+        };
+        let level = (self.ambient + head).min(1.2);
+        let tint = self.tint;
+        [albedo[0] * level * tint[0], albedo[1] * level * tint[1], albedo[2] * level * tint[2]]
+    }
+
+    /// Sky irradiance.
+    fn sky(&self) -> [f32; 3] {
+        let level = self.ambient * 0.9;
+        let tint = self.tint;
+        [
+            albedo::SKY[0] * level * tint[0],
+            albedo::SKY[1] * level * tint[1],
+            albedo::SKY[2] * level * tint[2],
+        ]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::situation::{RoadLayout, SituationFeatures, TABLE3_SITUATIONS};
+
+    fn day_straight_track() -> Track {
+        Track::for_situation(&TABLE3_SITUATIONS[0], 1000.0)
+    }
+
+    fn renderer() -> SceneRenderer {
+        SceneRenderer::new(Camera::default_automotive())
+    }
+
+    /// The per-pixel renderer as it was before the row hoisting: every
+    /// pixel back-projects through [`Camera::ground_from_pixel`], reads
+    /// the scene's lighting, takes `exp` for the head-lights, binary
+    /// searches the sector twice and tests the dash phase of every line.
+    /// The reference the hoisted [`SceneRenderer::render_rows_into`]
+    /// must match bit for bit.
+    fn render_reference(r: &SceneRenderer, track: &Track, s: f64, d: f64, psi: f64) -> RgbImage {
+        let cam = r.camera();
+        let (w, h) = (cam.width(), cam.height());
+        let mut img = RgbImage::new(w, h);
+        let (sin_psi, cos_psi) = psi.sin_cos();
+        let scene = track.sector_at(s).scene;
         for v in 0..h {
             for u in 0..w {
-                let color = match self.camera.ground_from_pixel(u as f64 + 0.5, v as f64 + 0.5) {
-                    None => self.sky_color(scene),
+                let color = match cam.ground_from_pixel(u as f64 + 0.5, v as f64 + 0.5) {
+                    None => reference_sky(scene),
                     Some((xf, yl)) => {
-                        // Rotate the vehicle-frame ground point into the
-                        // lane-aligned frame.
                         let xa = xf * cos_psi - yl * sin_psi;
                         let ya = xf * sin_psi + yl * cos_psi;
                         if xa <= 0.1 {
-                            // Directly under the bumper; treat as road.
-                            self.lit(albedo::ROAD, scene, 0.0)
+                            reference_lit(albedo::ROAD, scene, 0.0)
                         } else {
                             let sp = s + xa;
-                            // Offset from the (curving) lane center:
-                            // the centerline bends by ~κ·xa²/2 over the
-                            // preview distance.
                             let kappa = track.curvature_at(sp);
                             let lateral = d + ya - kappa * xa * xa / 2.0;
-                            let albedo = self.surface_albedo(track, sp, lateral, xa);
-                            self.lit(albedo, scene, xa)
+                            let albedo = reference_albedo(cam, track, sp, lateral, xa);
+                            reference_lit(albedo, scene, xa)
                         }
                     }
                 };
                 img.set(u, v, color);
             }
         }
-        Ok(())
+        img
     }
 
-    /// Albedo of the ground at arc position `sp`, lateral offset
-    /// `lateral` from the lane center, seen from forward distance `xa`
-    /// (for anti-aliasing footprint).
-    fn surface_albedo(&self, track: &Track, sp: f64, lateral: f64, xa: f64) -> [f32; 3] {
+    fn reference_albedo(cam: &Camera, track: &Track, sp: f64, lateral: f64, xa: f64) -> [f32; 3] {
         let sector = track.sector_at(sp);
-        let footprint = self.camera.ground_meters_per_pixel(xa);
+        let footprint = cam.ground_meters_per_pixel(xa);
         let half_marking = MARKING_WIDTH / 2.0;
-
-        // Candidate marking line centers (lateral offsets from the lane
-        // center) and their specs.
-        let mut lines: [(f64, crate::track::LaneSpec); 4] = [
+        let mut lines: [(f64, LaneSpec); 4] = [
             (LANE_WIDTH / 2.0, sector.left_lane),
             (f64::NAN, sector.left_lane),
             (-LANE_WIDTH / 2.0, sector.right_lane),
             (f64::NAN, sector.right_lane),
         ];
-        if sector.left_lane.form == crate::situation::LaneForm::DoubleContinuous {
+        if sector.left_lane.form == LaneForm::DoubleContinuous {
             let off = (MARKING_WIDTH + DOUBLE_GAP) / 2.0;
             lines[0].0 = LANE_WIDTH / 2.0 - off;
             lines[1].0 = LANE_WIDTH / 2.0 + off;
         }
-        if sector.right_lane.form == crate::situation::LaneForm::DoubleContinuous {
+        if sector.right_lane.form == LaneForm::DoubleContinuous {
             let off = (MARKING_WIDTH + DOUBLE_GAP) / 2.0;
             lines[2].0 = -LANE_WIDTH / 2.0 + off;
             lines[3].0 = -LANE_WIDTH / 2.0 - off;
         }
-
-        // Base surface.
         let road_half = LANE_WIDTH / 2.0 + SHOULDER;
         let base = if lateral.abs() <= road_half { albedo::ROAD } else { albedo::GRASS };
-
-        // Blend in the nearest marking line by its pixel coverage.
         let mut best_cover = 0.0f64;
         let mut best_color = base;
         for (center, spec) in lines {
@@ -208,8 +400,8 @@ impl SceneRenderer {
             if cover > best_cover {
                 best_cover = cover;
                 best_color = match spec.color {
-                    crate::situation::LaneColor::White => albedo::WHITE_MARKING,
-                    crate::situation::LaneColor::Yellow => albedo::YELLOW_MARKING,
+                    LaneColor::White => albedo::WHITE_MARKING,
+                    LaneColor::Yellow => albedo::YELLOW_MARKING,
                 };
             }
         }
@@ -224,9 +416,7 @@ impl SceneRenderer {
         ]
     }
 
-    /// Applies scene illumination (ambient + head-lights) and tint to an
-    /// albedo at forward distance `xf`.
-    fn lit(&self, albedo: [f32; 3], scene: SceneKind, xf: f64) -> [f32; 3] {
+    fn reference_lit(albedo: [f32; 3], scene: SceneKind, xf: f64) -> [f32; 3] {
         let ambient = scene.ambient_illumination();
         let head = scene.headlight_gain() * (-xf / HEADLIGHT_FALLOFF).exp() as f32;
         let level = (ambient + head).min(1.2);
@@ -234,8 +424,7 @@ impl SceneRenderer {
         [albedo[0] * level * tint[0], albedo[1] * level * tint[1], albedo[2] * level * tint[2]]
     }
 
-    /// Sky irradiance for a scene.
-    fn sky_color(&self, scene: SceneKind) -> [f32; 3] {
+    fn reference_sky(scene: SceneKind) -> [f32; 3] {
         let level = scene.ambient_illumination() * 0.9;
         let tint = scene.tint();
         [
@@ -244,21 +433,66 @@ impl SceneRenderer {
             albedo::SKY[2] * level * tint[2],
         ]
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::situation::{
-        LaneColor, LaneForm, RoadLayout, SceneKind, SituationFeatures, TABLE3_SITUATIONS,
-    };
-
-    fn day_straight_track() -> Track {
-        Track::for_situation(&TABLE3_SITUATIONS[0], 1000.0)
+    /// The 21 Table III tracks plus the nine-sector Fig. 7 track.
+    fn track_by_index(i: usize) -> Track {
+        match TABLE3_SITUATIONS.get(i) {
+            Some(sit) => Track::for_situation(sit, 600.0),
+            None => Track::fig7_track(),
+        }
     }
 
-    fn renderer() -> SceneRenderer {
-        SceneRenderer::new(Camera::default_automotive())
+    fn half_res_camera() -> Camera {
+        Camera::new(256, 128, 150.0, 1.3, 6.0_f64.to_radians())
+    }
+
+    fn assert_same_bits(a: &[f32], b: &[f32]) -> Result<(), String> {
+        match a.iter().zip(b).position(|(x, y)| x.to_bits() != y.to_bits()) {
+            None if a.len() == b.len() => Ok(()),
+            None => Err(format!("lengths {} vs {}", a.len(), b.len())),
+            Some(i) => Err(format!("word {i}: {} vs {}", a[i], b[i])),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(40))]
+
+        /// The hoisted renderer is bit-identical to the per-pixel
+        /// reference on random poses over every track and both cameras.
+        #[test]
+        fn hoisted_render_matches_the_per_pixel_reference(
+            track_idx in 0..22usize,
+            s in -5.0..1300.0f64,
+            d in -1.5..1.5f64,
+            psi in -0.2..0.2f64,
+        ) {
+            let track = track_by_index(track_idx);
+            for cam in [half_res_camera(), Camera::default_automotive()] {
+                let r = SceneRenderer::new(cam);
+                let fast = r.render(&track, s, d, psi);
+                let reference = render_reference(&r, &track, s, d, psi);
+                if let Err(e) = assert_same_bits(fast.as_slice(), reference.as_slice()) {
+                    proptest::prop_assert!(false, "track {track_idx} at ({s}, {d}, {psi}): {e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn banded_render_matches_full_frame_rows() {
+        let r = SceneRenderer::new(half_res_camera());
+        let track = Track::fig7_track();
+        let full = r.render(&track, 280.0, 0.3, -0.02);
+        let row_words = 256 * 3;
+        let mut banded = RgbImage::filled(4, 4, [7.0; 3]);
+        for rows in [0..128, 52..89, 0..1, 127..128, 90..300, 60..60] {
+            r.render_rows_into(&track, 280.0, 0.3, -0.02, rows.clone(), &mut banded).unwrap();
+            assert_eq!((banded.width(), banded.height()), (256, 128));
+            let lo = rows.start.min(128) * row_words;
+            let hi = rows.end.min(128).max(rows.start.min(128)) * row_words;
+            assert_same_bits(&banded.as_slice()[lo..hi], &full.as_slice()[lo..hi])
+                .unwrap_or_else(|e| panic!("rows {rows:?}: {e}"));
+        }
     }
 
     /// Find the brightest pixel in a row (marking candidates).

@@ -302,6 +302,39 @@ impl Track {
     }
 }
 
+/// Sector lookup for a stream of nearby arc positions: remembers the
+/// last sector and answers from it while the position stays strictly
+/// inside it, falling back to [`Track::sector_index_at`] otherwise. A
+/// strictly interior position has exactly one answer, so the cursor
+/// always agrees with the binary search.
+#[derive(Debug, Clone)]
+pub(crate) struct SectorCursor<'a> {
+    track: &'a Track,
+    index: usize,
+    /// Open interval `(start, end)` of the remembered sector; NaN until
+    /// the first lookup, so it matches nothing.
+    start: f64,
+    end: f64,
+}
+
+impl<'a> SectorCursor<'a> {
+    pub(crate) fn new(track: &'a Track) -> Self {
+        SectorCursor { track, index: 0, start: f64::NAN, end: f64::NAN }
+    }
+
+    /// The sector containing arc position `s` (clamped to the track).
+    pub(crate) fn sector(&mut self, s: f64) -> &'a Sector {
+        let track = self.track;
+        let clamped = s.clamp(0.0, track.total - 1e-9);
+        if !(self.start < clamped && clamped < self.end) {
+            self.index = track.sector_index_at(s);
+            self.start = track.starts[self.index];
+            self.end = track.starts.get(self.index + 1).copied().unwrap_or(f64::INFINITY);
+        }
+        &track.sectors[self.index]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,6 +377,22 @@ mod tests {
         for features in &TABLE3_SITUATIONS {
             let t = Track::for_situation(features, 100.0);
             assert_eq!(t.situation_at(50.0), *features);
+        }
+    }
+
+    #[test]
+    fn sector_cursor_agrees_with_the_binary_search() {
+        let track = Track::fig7_track();
+        let mut cursor = SectorCursor::new(&track);
+        // Forward and backward sweeps, every sector boundary exactly,
+        // and positions off both ends of the track.
+        let mut probes: Vec<f64> = (-40..1400).map(|i| i as f64 * 0.97).collect();
+        probes.extend((0..track.sectors().len()).map(|i| track.sector_start(i)));
+        probes.extend([track.total_length(), track.total_length() - 1e-9, -0.0, 1e9]);
+        probes.extend((0..700).rev().map(|i| i as f64 * 1.9));
+        for s in probes {
+            let want = &track.sectors()[track.sector_index_at(s)];
+            assert!(std::ptr::eq(cursor.sector(s), want), "s = {s}");
         }
     }
 

@@ -5,11 +5,18 @@
 //! executor thread count, `process_into` writing into reused pooled
 //! buffers must produce bit-identical pixels (and identical perception
 //! measurements) to the one-shot allocating path.
+//!
+//! The demand-driven (banded) frame path is held to the same standard:
+//! rendering, capturing and developing only the HiL run's frame band
+//! must leave every row perception reads, every perception output and
+//! the sensor's noise state exactly as the full-frame chain does.
 
-use lkas_imaging::image::RgbImage;
+use lkas::hil::FrameBand;
+use lkas::{Case, HilConfig, SituationSource};
+use lkas_imaging::image::{RawImage, RgbImage};
 use lkas_imaging::isp::{IspConfig, IspPipeline};
-use lkas_imaging::sensor::{Sensor, SensorConfig};
-use lkas_imaging::Scratch;
+use lkas_imaging::sensor::{inject_hot_pixels, inject_row_banding, Sensor, SensorConfig};
+use lkas_imaging::{KernelBackend, Scratch};
 use lkas_perception::pipeline::{Perception, PerceptionConfig, PerceptionScratch};
 use lkas_perception::roi::Roi;
 use lkas_scene::camera::Camera;
@@ -92,5 +99,110 @@ fn thread_counts_agree_with_each_other_per_config() {
         isp.process_into(&raw, &mut serial, &mut out_serial);
         isp.process_into(&raw, &mut tiled, &mut out_tiled);
         assert_bit_identical(&out_serial, &out_tiled, &format!("{cfg:?} 1 vs 4 threads"));
+    }
+}
+
+/// Asserts that rows `rows` of two interleaved frames with `row_len`
+/// values per row carry the same bits.
+fn assert_rows_identical(
+    a: &[f32],
+    b: &[f32],
+    row_len: usize,
+    rows: &std::ops::Range<usize>,
+    what: &str,
+) {
+    let span = rows.start * row_len..rows.end * row_len;
+    for (i, (x, y)) in a[span.clone()].iter().zip(&b[span.clone()]).enumerate() {
+        assert_eq!(
+            x.to_bits(),
+            y.to_bits(),
+            "{what}: word {} of the band: {x} vs {y}",
+            span.start + i
+        );
+    }
+}
+
+#[test]
+fn banded_frame_path_matches_the_full_frame_chain() {
+    let track = Track::fig7_track();
+    let half_res = Camera::new(256, 128, 150.0, 1.3, 6.0_f64.to_radians());
+    for cam in [half_res, Camera::default_automotive()] {
+        let (w, h) = (cam.width(), cam.height());
+        let config = HilConfig::new(Case::Case4, SituationSource::Oracle).with_camera(cam.clone());
+        let band = FrameBand::for_run(&config);
+        assert!(band.capture.len() < h, "{w}x{h}: the Oracle band must skip rows: {band:?}");
+        let renderer = SceneRenderer::new(cam.clone());
+        let poses = [(60.0, 0.1, 0.01), (300.0, -0.3, -0.02), (1150.0, 0.05, 0.0)];
+        for (i, &(s, d, psi)) in poses.iter().enumerate() {
+            let what = format!("{w}x{h} pose {i}");
+            let mut full_scene = RgbImage::new(2, 2);
+            renderer.render_into(&track, s, d, psi, &mut full_scene).unwrap();
+            let mut banded_scene = RgbImage::filled(w, h, [3.0; 3]);
+            renderer
+                .render_rows_into(&track, s, d, psi, band.capture.clone(), &mut banded_scene)
+                .unwrap();
+            let (full_px, banded_px) = (full_scene.as_slice(), banded_scene.as_slice());
+            assert_rows_identical(full_px, banded_px, w * 3, &band.capture, &what);
+
+            // Capture, then the Bayer faults the campaign injects.
+            let seed = 100 + i as u64;
+            let mut full_sensor = Sensor::new(SensorConfig::default(), seed);
+            let mut banded_sensor = full_sensor.clone();
+            let mut full_raw = RawImage::new(2, 2);
+            full_sensor.capture_into(&full_scene, 1.0, &mut full_raw);
+            let mut banded_raw = RawImage::new(2, 2);
+            banded_sensor.capture_rows_into(
+                &banded_scene,
+                1.0,
+                band.capture.clone(),
+                &mut banded_raw,
+            );
+            for raw in [&mut full_raw, &mut banded_raw] {
+                inject_row_banding(raw, 3, 0.6, i);
+                inject_hot_pixels(raw, 0.01, seed);
+            }
+            let (full_raw_px, banded_raw_px) = (full_raw.as_slice(), banded_raw.as_slice());
+            assert_rows_identical(full_raw_px, banded_raw_px, w, &band.capture, &what);
+            // The next full capture proves the noise state matches.
+            assert_eq!(
+                full_sensor.capture(&full_scene, 1.0),
+                banded_sensor.capture(&full_scene, 1.0),
+                "{what}: sensor state after the banded capture"
+            );
+
+            for backend in KernelBackend::ALL {
+                for cfg in IspConfig::ALL {
+                    let what = format!("{what} {cfg} {backend}");
+                    let isp = IspPipeline::new(cfg).with_backend(backend);
+                    let mut full_rgb = RgbImage::new(2, 2);
+                    isp.process_into(&full_raw, &mut Scratch::new(), &mut full_rgb);
+                    let mut banded_rgb = RgbImage::filled(w, h, [4.0; 3]);
+                    isp.process_rows_into(
+                        &banded_raw,
+                        band.isp.clone(),
+                        &mut Scratch::new(),
+                        &mut banded_rgb,
+                    );
+                    let (full_out, banded_out) = (full_rgb.as_slice(), banded_rgb.as_slice());
+                    assert_rows_identical(full_out, banded_out, w * 3, &band.isp, &what);
+                    for roi in Roi::ALL {
+                        let pr = Perception::new(PerceptionConfig::new(roi), cam.clone())
+                            .with_backend(backend);
+                        let read = pr.rows_read(w, h);
+                        assert!(
+                            band.isp.start <= read.start && read.end <= band.isp.end,
+                            "{what}: {roi:?} reads {read:?} outside the band {:?}",
+                            band.isp
+                        );
+                        let mut scratch = PerceptionScratch::new();
+                        assert_eq!(
+                            pr.process_into(&full_rgb, &mut scratch),
+                            pr.process_into(&banded_rgb, &mut scratch),
+                            "{what}: perception output for {roi:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -6,11 +6,17 @@
 //! camera-to-measurement cycle — render, capture, ISP, perception —
 //! performs **zero heap allocations** on the single-threaded executor.
 //!
+//! The demand-driven entry points (`render_rows_into`,
+//! `capture_rows_into`, `process_rows_into` on the HiL run's
+//! [`FrameBand`]) are held to the same zero.
+//!
 //! With worker threads the executor spawns per call by design, so the
 //! multi-threaded assertion is the next-strongest observable pair: the
 //! frame pool stops allocating, and outputs stay bit-identical to the
 //! single-threaded path.
 
+use lkas::hil::FrameBand;
+use lkas::{Case, HilConfig, SituationSource};
 use lkas_imaging::image::{RawImage, RgbImage};
 use lkas_imaging::isp::{IspConfig, IspPipeline};
 use lkas_imaging::sensor::{Sensor, SensorConfig};
@@ -66,8 +72,10 @@ fn allocations_on_this_thread() -> u64 {
 /// caller-owned buffers only. Mirrors the cycle body of
 /// `lkas::hil::HilSimulator::run` minus the allocating bookkeeping
 /// (trace recording, pending-command queue) that is not per-frame work.
+/// With a band, only the band's rows are computed, as the HiL loop does.
 #[allow(clippy::too_many_arguments)]
 fn one_cycle(
+    band: Option<&FrameBand>,
     renderer: &SceneRenderer,
     sensor: &mut Sensor,
     isp: &IspPipeline,
@@ -80,14 +88,36 @@ fn one_cycle(
     scratch: &mut Scratch,
     pscratch: &mut PerceptionScratch,
 ) -> Option<f64> {
-    renderer.render_into(track, s, 0.1, 0.0, scene_rgb).expect("valid camera");
-    sensor.capture_into(scene_rgb, 1.0, raw);
-    isp.process_into(raw, scratch, rgb);
+    match band {
+        None => {
+            renderer.render_into(track, s, 0.1, 0.0, scene_rgb).expect("valid camera");
+            sensor.capture_into(scene_rgb, 1.0, raw);
+            isp.process_into(raw, scratch, rgb);
+        }
+        Some(band) => {
+            let rows = band.capture.clone();
+            renderer.render_rows_into(track, s, 0.1, 0.0, rows, scene_rgb).expect("valid camera");
+            sensor.capture_rows_into(scene_rgb, 1.0, band.capture.clone(), raw);
+            isp.process_rows_into(raw, band.isp.clone(), scratch, rgb);
+        }
+    }
     perception.process_into(rgb, pscratch).ok().map(|out| out.y_l)
 }
 
 #[test]
 fn steady_state_cycle_allocates_nothing_single_threaded() {
+    assert_steady_state_allocates_nothing(None);
+}
+
+#[test]
+fn steady_state_banded_cycle_allocates_nothing_single_threaded() {
+    let config = HilConfig::new(Case::Case1, SituationSource::Oracle);
+    let band = FrameBand::for_run(&config);
+    assert!(band.capture.len() < config.camera.height(), "the band must skip rows");
+    assert_steady_state_allocates_nothing(Some(&band));
+}
+
+fn assert_steady_state_allocates_nothing(band: Option<&FrameBand>) {
     let cam = Camera::default_automotive();
     let track = Track::for_situation(&TABLE3_SITUATIONS[0], 500.0);
     let renderer = SceneRenderer::new(cam.clone());
@@ -103,6 +133,7 @@ fn steady_state_cycle_allocates_nothing_single_threaded() {
     // Warm-up: size every pooled buffer and scratch vector.
     for i in 0..3 {
         one_cycle(
+            band,
             &renderer,
             &mut sensor,
             &isp,
@@ -121,6 +152,7 @@ fn steady_state_cycle_allocates_nothing_single_threaded() {
     let mut measured = 0usize;
     for i in 0..25 {
         if one_cycle(
+            band,
             &renderer,
             &mut sensor,
             &isp,
@@ -173,6 +205,7 @@ fn steady_state_pool_is_quiescent_and_identical_at_four_threads() {
         let mut warmup_allocations = 0;
         for i in 0..10 {
             let y_l = one_cycle(
+                None,
                 &renderer,
                 &mut sensor,
                 &isp,
